@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint lint-repro lint-contracts bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench score-bench test-obs obs-smoke test-gateway gateway-bench experiments examples clean
+.PHONY: install test lint lint-repro lint-contracts bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench score-bench test-obs obs-smoke test-gateway gateway-bench bench-reports-check experiments examples clean
 
 CACHE_DIR ?= .study-cache
 
@@ -14,16 +14,15 @@ lint:
 	ruff check src tests
 
 # Full static analysis (per-file DET001-DET003/PUR001-PUR002 plus the
-# call-graph-backed CONC001-CONC003/MRG001-MRG003 packs); fails on
-# findings not in .repro-lint-baseline.json.
+# call-graph-backed CONC001-CONC003 pack); fails on findings not in
+# .repro-lint-baseline.json.
 lint-repro:
 	PYTHONPATH=src python -m repro.cli lint src
 
-# Just the cross-module packs: shard-isolation race rules (CONC) and
-# telemetry merge-contract rules (MRG), with the shared-call-graph
-# timing line on stderr.
+# Just the cross-module pack: shard-isolation race rules (CONC), with the
+# shared-call-graph timing line on stderr.
 lint-contracts:
-	PYTHONPATH=src python -m repro.cli lint src --select CONC,MRG --stats
+	PYTHONPATH=src python -m repro.cli lint src --select CONC --stats
 
 # Run the study on the staged execution engine; warm re-runs execute
 # zero stages.  Scale/parallelism: make study ARGS="--full --jobs 8".
@@ -83,6 +82,23 @@ gateway-bench:
 	PYTHONPATH=src python -m repro.cli gateway-bench --tiny \
 		--report gateway-bench-report.json \
 		--baseline benchmarks/reports/BENCH_gateway.json $(ARGS)
+
+# Regenerate the three committed bench reports (--tiny, into a temp dir)
+# and byte-compare each with benchmarks/reports/.  The reports are
+# deterministic, so any difference means code and baseline have drifted;
+# --report is explicit because each command defaults to the committed file.
+bench-reports-check:
+	set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	PYTHONPATH=src python -m repro.cli serve-bench --tiny --shards 4 \
+		--check-equivalence --report $$out/BENCH_serve.json > /dev/null; \
+	PYTHONPATH=src python -m repro.cli score-bench --tiny \
+		--report $$out/BENCH_score.json > /dev/null; \
+	PYTHONPATH=src python -m repro.cli gateway-bench --tiny \
+		--report $$out/BENCH_gateway.json > /dev/null; \
+	for name in serve score gateway; do \
+		cmp $$out/BENCH_$$name.json benchmarks/reports/BENCH_$$name.json; \
+	done; \
+	echo "bench reports match benchmarks/reports/"
 
 # Observability suite: tracer/registry/exporter units plus the
 # cross-runtime byte-identical-trace and diff-gate integration tests.

@@ -12,13 +12,13 @@ in keyed paths) that this package makes checkable on every diff:
   cross-module rules consume;
 - :mod:`rules` holds the rule pack (``DET001``–``DET003`` determinism,
   ``PUR001``–``PUR002`` stage purity, ``CONC001``–``CONC003`` shard
-  isolation, ``MRG001``–``MRG003`` telemetry merge contracts);
+  isolation);
 - :mod:`baseline` grandfathers pre-existing findings in a committed
   JSON file so the CI gate only fails on *new* violations;
 - :mod:`report` renders findings ruff-style, as JSON, or as SARIF.
 
 Run it via ``repro lint [paths]``, ``make lint-repro`` (all rules), or
-``make lint-contracts`` (the graph-backed packs only).
+``make lint-contracts`` (the graph-backed CONC pack only).
 """
 
 from repro.analysis.lint.baseline import Baseline, BaselineEntry

@@ -128,7 +128,7 @@ def _expand_rule_tokens(
 ) -> tuple[set[str], set[str]]:
     """Expand exact ids and family prefixes; return (ids, unknown tokens).
 
-    ``--select CONC,MRG`` selects every rule in those families;
+    ``--select CONC,PUR`` selects every rule in those families;
     ``--select DET003`` still selects exactly one rule.  A token that
     matches nothing (neither exactly nor as a prefix) is reported back.
     """
@@ -151,7 +151,7 @@ def select_rules(
     """Resolve ``--select`` / ``--ignore`` to an ordered rule list.
 
     Both accept exact rule ids (``DET001``) and family prefixes
-    (``CONC``, ``MRG``) that expand to every registered rule they match.
+    (``CONC``, ``DET``) that expand to every registered rule they match.
     """
     rules = all_rules()
     chosen_ids, unknown = (

@@ -36,9 +36,8 @@ inspects, integrity-verifies, or empties a stage cache;
 intent describes; ``assess`` runs the rule-based analysis layers on a
 single text; ``lint`` runs the static analysis — per-file determinism &
 stage-purity rules (DET001–DET003, PUR001–PUR002) plus call-graph-backed
-shard-isolation and telemetry merge-contract rules (CONC001–CONC003,
-MRG001–MRG003) — and fails on findings not grandfathered in the
-committed baseline; ``serve-bench`` trains filters
+shard-isolation rules (CONC001–CONC003) — and fails on findings not
+grandfathered in the committed baseline; ``serve-bench`` trains filters
 on one synthetic corpus, replays a second through the sharded
 ``repro.serve`` runtime under a seeded open-loop load profile, prints an
 alert/latency/throughput summary, and writes a machine-readable JSON
@@ -403,8 +402,8 @@ def cmd_serve_bench(args) -> int:
         title="Alerts",
     ))
     print()
-    merged_service = result.telemetry.merged_service_time()
-    merged_wait = result.telemetry.merged_queue_wait()
+    fleet = result.telemetry.total()
+    merged_service = fleet.service_time
     rows = []
     for shard in result.telemetry.shards:
         acct = shard.queue
@@ -415,11 +414,8 @@ def cmd_serve_bench(args) -> int:
             f"{shard.service_time.quantile(0.99) * 1e3:.2f}",
         ))
     rows.append((
-        "fleet", result.telemetry.messages_scored,
-        sum(s.batches for s in result.telemetry.shards),
-        sum(s.queue.shed for s in result.telemetry.shards),
-        sum(s.queue.dropped for s in result.telemetry.shards),
-        max((s.queue.max_depth for s in result.telemetry.shards), default=0),
+        "fleet", fleet.messages_scored, fleet.batches, fleet.queue.shed,
+        fleet.queue.dropped, fleet.queue.max_depth,
         f"{merged_service.quantile(0.5) * 1e3:.2f}",
         f"{merged_service.quantile(0.99) * 1e3:.2f}",
     ))
@@ -433,7 +429,7 @@ def cmd_serve_bench(args) -> int:
     print(
         f"throughput: {result.telemetry.throughput_per_second:,.0f} msg/s "
         f"over {result.telemetry.makespan_seconds:.2f}s simulated; "
-        f"queue wait p95 {merged_wait.quantile(0.95) * 1e3:.2f} ms; "
+        f"queue wait p95 {fleet.queue_wait.quantile(0.95) * 1e3:.2f} ms; "
         f"service p50/p95/p99 "
         f"{merged_service.quantile(0.5) * 1e3:.2f}/"
         f"{merged_service.quantile(0.95) * 1e3:.2f}/"
@@ -488,18 +484,18 @@ def cmd_score_bench(args) -> int:
         [
             (
                 "tokenize", work.tokenized_messages, work.token_cache_hits,
-                f"{result.breakdown['tokenize_seconds']:.4f}",
+                f"{result.breakdown.tokenize_seconds:.4f}",
             ),
             (
                 "score", work.messages, "-",
-                f"{result.breakdown['score_seconds']:.4f}",
+                f"{result.breakdown.score_seconds:.4f}",
             ),
             (
                 "extract", work.extracted_messages, work.extraction_cache_hits,
-                f"{result.breakdown['extract_seconds']:.4f}",
+                f"{result.breakdown.extract_seconds:.4f}",
             ),
             ("code", work.coded_messages, work.coding_cache_hits, "-"),
-            ("state", "-", "-", f"{result.breakdown['state_seconds']:.4f}"),
+            ("state", "-", "-", f"{result.breakdown.state_seconds:.4f}"),
         ],
         title="Scoring work",
     ))
@@ -924,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--select", default=None,
         help="comma-separated rule ids or family prefixes to run "
-        "(e.g. DET001 or CONC,MRG; default: all)",
+        "(e.g. DET001 or CONC,PUR; default: all)",
     )
     p_lint.add_argument(
         "--ignore", default=None,

@@ -25,9 +25,9 @@ admission pass runs single-threaded before the serve fan-out.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Iterable
+
+from repro.obs.ledger import SUM, Ledger, Metric, derived, fold
 
 
 class TokenBucket:
@@ -83,23 +83,33 @@ class TokenBucket:
         }
 
 
-@dataclasses.dataclass
-class AdmissionAccounting:
+GATEWAY_ARRIVALS = Metric(
+    "gateway_arrivals", "arrivals per admission outcome"
+)
+
+
+class AdmissionAccounting(Ledger):
     """Arrival-conservation ledger for one tenant at the gateway door."""
 
-    offered: int = 0
-    admitted: int = 0
-    throttled_tenant: int = 0
-    throttled_fleet: int = 0
-    rejected_auth: int = 0
-    rejected_quota: int = 0
+    offered: int = fold(SUM, GATEWAY_ARRIVALS(outcome="offered"))
+    admitted: int = fold(SUM, GATEWAY_ARRIVALS(outcome="admitted"))
+    throttled_tenant: int = fold(
+        SUM, GATEWAY_ARRIVALS(outcome="throttled_tenant")
+    )
+    throttled_fleet: int = fold(
+        SUM, GATEWAY_ARRIVALS(outcome="throttled_fleet")
+    )
+    rejected_auth: int = fold(SUM, GATEWAY_ARRIVALS(outcome="rejected_auth"))
+    rejected_quota: int = fold(
+        SUM, GATEWAY_ARRIVALS(outcome="rejected_quota")
+    )
 
-    @property
+    @derived
     def throttled(self) -> int:
         """Rate-limited arrivals, regardless of which bucket was dry."""
         return self.throttled_tenant + self.throttled_fleet
 
-    @property
+    @derived
     def unaccounted(self) -> int:
         """Arrivals in no bucket — zero always; the bench asserts it."""
         return (
@@ -107,47 +117,3 @@ class AdmissionAccounting:
             - self.throttled_fleet - self.rejected_auth
             - self.rejected_quota
         )
-
-    def merge(self, other: "AdmissionAccounting") -> "AdmissionAccounting":
-        """Combine two ledgers for the same tenant (pure)."""
-        return AdmissionAccounting(
-            offered=self.offered + other.offered,
-            admitted=self.admitted + other.admitted,
-            throttled_tenant=self.throttled_tenant + other.throttled_tenant,
-            throttled_fleet=self.throttled_fleet + other.throttled_fleet,
-            rejected_auth=self.rejected_auth + other.rejected_auth,
-            rejected_quota=self.rejected_quota + other.rejected_quota,
-        )
-
-    @classmethod
-    def merged(
-        cls, accountings: Iterable["AdmissionAccounting"]
-    ) -> "AdmissionAccounting":
-        """Fold per-tenant (or per-run) ledgers into one view."""
-        total = cls()
-        for accounting in accountings:
-            total = total.merge(accounting)
-        return total
-
-    def as_dict(self) -> dict[str, int]:
-        data = dataclasses.asdict(self)
-        data["throttled"] = self.throttled
-        data["unaccounted"] = self.unaccounted
-        return data
-
-    def populate_metrics(self, registry, **labels: object) -> None:
-        """Emit this ledger into an observability registry."""
-        outcomes = registry.counter(
-            "gateway_arrivals", help="arrivals per admission outcome"
-        )
-        for outcome in (
-            "offered",
-            "admitted",
-            "throttled_tenant",
-            "throttled_fleet",
-            "rejected_auth",
-            "rejected_quota",
-        ):
-            outcomes.labels(outcome=outcome, **labels).inc(
-                getattr(self, outcome)
-            )

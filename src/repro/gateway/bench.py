@@ -23,11 +23,11 @@ fleet throughput may not regress past the tolerance.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Iterable
 
 from repro.gateway.gateway import Gateway, GatewayConfig, GatewayResult
 from repro.gateway.tenants import TenantConfig, TenantRegistry
+from repro.obs.diff import GateFailure, throughput_gate
 from repro.obs.recorder import RunObserver
 from repro.serve.loadgen import LoadProfile, generate_arrivals
 from repro.serve.runtime import ServeConfig, alert_sort_key
@@ -181,7 +181,7 @@ def run_gateway_bench(
             "load_skew": serve_telemetry.load_skew,
             "alerts_total": len(result.serve.alerts),
             "alert_latency": (
-                serve_telemetry.merged_alert_latency().as_dict()
+                serve_telemetry.total().alert_latency.as_dict()
             ),
             "fairness_skew": fairness_skew,
         },
@@ -189,14 +189,6 @@ def run_gateway_bench(
         "health": gateway.health(),
     }
     return report, gateway, result
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class GateFailure:
-    """One failed check from :func:`compare_gateway_reports`."""
-
-    check: str
-    detail: str
 
 
 def compare_gateway_reports(
@@ -222,18 +214,12 @@ def compare_gateway_reports(
             f"isolation invariant is {report.get('isolation')!r}, "
             "expected 'ok'",
         ))
-    base_throughput = baseline.get("fleet", {}).get(
-        "throughput_per_second", 0.0
+    failures += throughput_gate(
+        "fleet throughput",
+        fleet.get("throughput_per_second", 0.0),
+        baseline.get("fleet", {}).get("throughput_per_second", 0.0),
+        max_regression,
     )
-    throughput = fleet.get("throughput_per_second", 0.0)
-    floor = base_throughput * (1.0 - max_regression)
-    if throughput < floor:
-        failures.append(GateFailure(
-            "throughput",
-            f"fleet throughput {throughput:,.0f} msg/s fell below the "
-            f"floor {floor:,.0f} (baseline {base_throughput:,.0f}, "
-            f"tolerance {max_regression:.0%})",
-        ))
     for tenant in sorted(baseline.get("tenants", {})):
         if tenant not in report.get("tenants", {}):
             failures.append(GateFailure(

@@ -1,24 +1,34 @@
 """Gateway telemetry: per-tenant ledgers, mergeable, snapshot-stable.
 
-Follows the repo's aggregation contract — every telemetry dataclass
-knows how to ``merge()`` with a peer, render itself ``as_dict()``
-(sorted, so snapshots are byte-stable), and ``populate_metrics()`` into
-the unified labeled registry — which is exactly what the MRG contract
-lints enforce.  All numbers are simulated-time arithmetic; nothing here
-reads a clock.
+Both classes are :class:`~repro.obs.ledger.Ledger` s: each field
+declares its fold and its metric, so ``merge()``, ``as_dict()`` (sorted,
+so snapshots are byte-stable) and ``populate_metrics()`` into the
+unified labeled registry all derive from one table.  All numbers are
+simulated-time arithmetic; nothing here reads a clock.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterable
-
 from repro.gateway.admission import AdmissionAccounting
-from repro.obs.metrics import LatencyHistogram, MetricsRegistry
+from repro.obs.ledger import (
+    ANY,
+    KEY,
+    MERGE,
+    SUM,
+    UNION,
+    Ledger,
+    Metric,
+    derived,
+    fold,
+)
+from repro.obs.metrics import GAUGE, HISTOGRAM, LatencyHistogram
+
+GATEWAY_ALERTS = Metric(
+    "gateway_alerts", "per-tenant alerts by delivery outcome"
+)
 
 
-@dataclasses.dataclass
-class TenantTelemetry:
+class TenantTelemetry(Ledger):
     """Everything the gateway learned about one tenant's traffic.
 
     ``registered`` distinguishes real tenants from presented-but-unknown
@@ -26,88 +36,46 @@ class TenantTelemetry:
     conserve too).  ``alerts_total`` counts the tenant's raw alert
     stream before the preference layer; ``alerts_delivered`` +
     ``alerts_suppressed`` partition it.  ``feed_latency`` is simulated
-    arrival-to-delivery time per delivered alert.
+    arrival-to-delivery time per delivered alert.  Ledgers merge only
+    for the same tenant id.
     """
 
-    tenant: str
-    registered: bool = False
-    admission: AdmissionAccounting = dataclasses.field(
-        default_factory=AdmissionAccounting
+    tenant: str = fold(KEY, label="tenant")
+    registered: bool = fold(ANY, Metric(
+        "gateway_tenant_registered", "1 if the tenant is registered", GAUGE
+    ))
+    admission: AdmissionAccounting = fold(
+        MERGE, factory=AdmissionAccounting
     )
-    alerts_total: int = 0
-    alerts_delivered: int = 0
-    alerts_suppressed: int = 0
-    feed_evicted: int = 0
-    feed_latency: LatencyHistogram = dataclasses.field(
-        default_factory=LatencyHistogram
+    alerts_total: int = fold(SUM, GATEWAY_ALERTS(outcome="total"))
+    alerts_delivered: int = fold(SUM, GATEWAY_ALERTS(outcome="delivered"))
+    alerts_suppressed: int = fold(SUM, GATEWAY_ALERTS(outcome="suppressed"))
+    feed_evicted: int = fold(SUM, Metric(
+        "gateway_feed_evicted", "alerts dropped from bounded feeds"
+    ))
+    feed_latency: LatencyHistogram = fold(MERGE, Metric(
+        "gateway_feed_latency_seconds",
+        "simulated arrival-to-delivery latency per delivered alert",
+        HISTOGRAM,
+    ), factory=LatencyHistogram)
+
+
+class GatewayTelemetry(Ledger):
+    """Gateway-wide aggregate: one ledger per presented tenant id.
+
+    Two gateway views merge tenant by tenant; the fleet total is
+    :attr:`admission`, every tenant's admission ledger folded.
+    """
+
+    tenants: dict[str, TenantTelemetry] = fold(
+        UNION,
+        Metric("gateway_tenants", "distinct tenant ids presented", GAUGE),
+        factory=dict,
+        key="tenant",
     )
-
-    def merge(self, other: "TenantTelemetry") -> "TenantTelemetry":
-        """Combine two ledgers for the same tenant id (pure)."""
-        if self.tenant != other.tenant:
-            raise ValueError(
-                f"cannot merge telemetry for different tenants: "
-                f"{self.tenant!r} vs {other.tenant!r}"
-            )
-        return TenantTelemetry(
-            tenant=self.tenant,
-            registered=self.registered or other.registered,
-            admission=self.admission.merge(other.admission),
-            alerts_total=self.alerts_total + other.alerts_total,
-            alerts_delivered=self.alerts_delivered + other.alerts_delivered,
-            alerts_suppressed=(
-                self.alerts_suppressed + other.alerts_suppressed
-            ),
-            feed_evicted=self.feed_evicted + other.feed_evicted,
-            feed_latency=self.feed_latency.merge(other.feed_latency),
-        )
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "tenant": self.tenant,
-            "registered": self.registered,
-            "admission": self.admission.as_dict(),
-            "alerts_total": self.alerts_total,
-            "alerts_delivered": self.alerts_delivered,
-            "alerts_suppressed": self.alerts_suppressed,
-            "feed_evicted": self.feed_evicted,
-            "feed_latency": self.feed_latency.as_dict(),
-        }
-
-    def populate_metrics(self, registry: MetricsRegistry) -> None:
-        """Project this tenant's ledgers into the labeled registry."""
-        labels = {"tenant": self.tenant}
-        self.admission.populate_metrics(registry, **labels)
-        registry.gauge(
-            "gateway_tenant_registered", help="1 if the tenant is registered"
-        ).labels(**labels).set(1 if self.registered else 0)
-        alerts = registry.counter(
-            "gateway_alerts", help="per-tenant alerts by delivery outcome"
-        )
-        alerts.labels(outcome="total", **labels).inc(self.alerts_total)
-        alerts.labels(outcome="delivered", **labels).inc(
-            self.alerts_delivered
-        )
-        alerts.labels(outcome="suppressed", **labels).inc(
-            self.alerts_suppressed
-        )
-        registry.counter(
-            "gateway_feed_evicted", help="alerts dropped from bounded feeds"
-        ).labels(**labels).inc(self.feed_evicted)
-        registry.histogram(
-            "gateway_feed_latency_seconds",
-            help="simulated arrival-to-delivery latency per delivered alert",
-        ).labels(**labels).merge_from(self.feed_latency)
-
-
-@dataclasses.dataclass
-class GatewayTelemetry:
-    """Gateway-wide aggregate: one ledger per presented tenant id."""
-
-    tenants: dict[str, TenantTelemetry] = dataclasses.field(
-        default_factory=dict
-    )
-    runs: int = 0
+    runs: int = fold(SUM, Metric(
+        "gateway_runs", "handle() calls absorbed by this gateway", GAUGE
+    ))
 
     def tenant(self, tenant: str, registered: bool) -> TenantTelemetry:
         """Get-or-create the ledger for ``tenant`` (mutating accessor)."""
@@ -117,34 +85,7 @@ class GatewayTelemetry:
             self.tenants[tenant] = entry
         return entry
 
-    def merge(self, other: "GatewayTelemetry") -> "GatewayTelemetry":
-        """Combine two gateway views (pure): tenants fold by id."""
-        by_id: dict[str, TenantTelemetry] = dict(self.tenants)
-        for tenant in sorted(other.tenants):
-            entry = other.tenants[tenant]
-            seen = by_id.get(tenant)
-            by_id[tenant] = entry if seen is None else seen.merge(entry)
-        return GatewayTelemetry(
-            tenants={tenant: by_id[tenant] for tenant in sorted(by_id)},
-            runs=self.runs + other.runs,
-        )
-
-    @classmethod
-    def merged(
-        cls, telemetries: Iterable["GatewayTelemetry"]
-    ) -> "GatewayTelemetry":
-        total = cls()
-        for telemetry in telemetries:
-            total = total.merge(telemetry)
-        return total
-
-    def merged_admission(self) -> AdmissionAccounting:
-        """Fleet admission ledger across every presented tenant id."""
-        return AdmissionAccounting.merged(
-            self.tenants[tenant].admission for tenant in sorted(self.tenants)
-        )
-
-    @property
+    @derived
     def conservation_ok(self) -> bool:
         """True iff every tenant's admission ledger balances exactly."""
         return all(
@@ -152,24 +93,9 @@ class GatewayTelemetry:
             for tenant in sorted(self.tenants)
         )
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "runs": self.runs,
-            "conservation_ok": self.conservation_ok,
-            "admission": self.merged_admission().as_dict(),
-            "tenants": {
-                tenant: self.tenants[tenant].as_dict()
-                for tenant in sorted(self.tenants)
-            },
-        }
-
-    def populate_metrics(self, registry: MetricsRegistry) -> None:
-        """Project every tenant ledger plus gateway-level gauges."""
-        for tenant in sorted(self.tenants):
-            self.tenants[tenant].populate_metrics(registry)
-        registry.gauge(
-            "gateway_runs", help="handle() calls absorbed by this gateway"
-        ).labels().set(self.runs)
-        registry.gauge(
-            "gateway_tenants", help="distinct tenant ids presented"
-        ).labels().set(len(self.tenants))
+    @derived
+    def admission(self) -> AdmissionAccounting:
+        """Fleet admission ledger across every presented tenant id."""
+        return AdmissionAccounting.merged(
+            self.tenants[tenant].admission for tenant in sorted(self.tenants)
+        )

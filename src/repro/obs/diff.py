@@ -9,6 +9,11 @@ without flaking.
 Counters and gauges diff by value; histograms diff by count and mean.
 Series present on only one side are reported as added/removed (a new
 label value appearing — say a new alert kind — is itself a finding).
+
+:func:`throughput_regressed` is the one throughput floor every gate
+applies — this diff, ``repro.score.compare_reports`` and
+``repro.gateway.compare_gateway_reports`` — and :class:`GateFailure` the
+one shape the two bench gates report in.
 """
 
 from __future__ import annotations
@@ -47,6 +52,40 @@ class MetricDelta:
         if not self.before:
             return None
         return self.delta / self.before
+
+
+def throughput_regressed(
+    before: float, after: float, max_regression: float
+) -> bool:
+    """True when ``after`` fell below ``before`` x (1 - ``max_regression``).
+
+    A non-positive ``before`` has no floor to fall below.
+    """
+    return before > 0 and after < before * (1.0 - max_regression)
+
+
+@dataclasses.dataclass(frozen=True)
+class GateFailure:
+    """One reason a bench regression gate rejected a report."""
+
+    check: str
+    detail: str
+
+
+def throughput_gate(
+    what: str, current: float, baseline: float, max_regression: float
+) -> list[GateFailure]:
+    """The ``throughput`` failure, if ``current`` fell below the floor."""
+    if not throughput_regressed(baseline, current, max_regression):
+        return []
+    floor = baseline * (1.0 - max_regression)
+    return [GateFailure(
+        check="throughput",
+        detail=(
+            f"{what} regressed: {current:,.0f} msg/s < floor {floor:,.0f} "
+            f"(baseline {baseline:,.0f}, tolerance {max_regression:.0%})"
+        ),
+    )]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,16 +161,15 @@ def find_regressions(
     for delta in deltas:
         if delta.metric not in THROUGHPUT_METRICS:
             continue
-        if delta.before is None or delta.after is None or delta.before <= 0:
+        if delta.before is None or delta.after is None:
             continue
-        drop = (delta.before - delta.after) / delta.before
-        if drop > max_regression:
+        if throughput_regressed(delta.before, delta.after, max_regression):
             regressions.append(Regression(
                 metric=delta.metric,
                 labels=delta.labels,
                 before=delta.before,
                 after=delta.after,
-                drop=drop,
+                drop=(delta.before - delta.after) / delta.before,
             ))
     return regressions
 

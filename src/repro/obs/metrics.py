@@ -5,8 +5,10 @@ parallel across the engine (``StageRecord`` tallies), the scoring core
 (``ScoreWork``), and the serve runtime (``ShardTelemetry`` /
 ``QueueAccounting``).  Those types keep their ``merge()``/``as_dict()``
 shapes — the bench JSON schemas are load-bearing — and additionally
-*populate* a registry, so every operational signal is addressable by one
-``(metric name, labels)`` scheme instead of a per-subsystem schema.
+*populate* a registry (:mod:`repro.obs.ledger` derives all three from
+their field declarations), so every operational signal is addressable
+by one ``(metric name, labels)`` scheme instead of a per-subsystem
+schema.
 
 Determinism contract (same as the rest of the repo): a registry is a
 pure function of the calls made against it.  Snapshots sort families by
@@ -23,7 +25,7 @@ snapshot.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 #: Histogram bucket upper bounds in seconds: four per decade from 10 µs
 #: to 1000 s, then a catch-all.  Fixed bounds (rather than data-derived
@@ -281,12 +283,3 @@ class MetricsRegistry:
         """Snapshot, sorted by family name then series labels."""
         return {family.name: family.as_dict() for family in self.families()}
 
-
-def merge_histograms(
-    histograms: Iterable[LatencyHistogram],
-) -> LatencyHistogram:
-    """Fold shard histograms into one (element-wise bucket addition)."""
-    merged = LatencyHistogram()
-    for histogram in histograms:
-        merged = merged.merge(histogram)
-    return merged

@@ -21,12 +21,13 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Iterable
 
+from repro.obs.diff import GateFailure, throughput_gate
 from repro.score.core import ScoreWork, ScoringCore
 from repro.util.batching import iter_batches
 
 if TYPE_CHECKING:  # the serve layer sits above the core; type-only import
     from repro.obs.recorder import RunObserver
-    from repro.serve.batching import ServiceCostModel
+    from repro.serve.batching import CostBreakdown, ServiceCostModel
 
 
 @dataclasses.dataclass
@@ -40,7 +41,7 @@ class ScoreBenchResult:
     work: ScoreWork
     detections: int
     simulated_seconds: float
-    breakdown: dict[str, float]
+    breakdown: CostBreakdown
     cache_stats: dict[str, dict[str, int | float]]
 
     @property
@@ -66,7 +67,7 @@ class ScoreBenchResult:
             "simulated_seconds": self.simulated_seconds,
             "messages_per_second": self.messages_per_second,
             "extractions_per_message": self.extractions_per_message,
-            "busy_breakdown": dict(self.breakdown),
+            "busy_breakdown": self.breakdown.as_dict(),
             "work": self.work.as_dict(),
             "caches": self.cache_stats,
         }
@@ -74,19 +75,13 @@ class ScoreBenchResult:
     def populate_metrics(self, registry) -> None:
         """Project the bench run into an observability registry."""
         self.work.populate_metrics(registry)
+        self.breakdown.populate_metrics(registry)
         registry.counter(
             "score_bench_batches", help="batches scored by the bench"
         ).labels().inc(self.n_batches)
         registry.counter(
             "score_bench_detections", help="messages over either threshold"
         ).labels().inc(self.detections)
-        busy = registry.counter(
-            "busy_seconds", help="simulated busy seconds per component"
-        )
-        for component, seconds in self.breakdown.items():
-            busy.labels(component=component.removesuffix("_seconds")).inc(
-                seconds
-            )
         registry.gauge(
             "score_bench_distinct_texts", help="distinct texts in the stream"
         ).labels().set(self.distinct_texts)
@@ -121,16 +116,14 @@ def run_score_bench(
     span per batch on the simulated clock (with the core's work ledger
     annotated), plus the labeled metrics snapshot.
     """
-    if cost is None:
-        # Runtime import: repro.serve imports the scoring core, so the
-        # dependency must stay one-way at module-import time.
-        from repro.serve.batching import CostBreakdown, ServiceCostModel
+    # Runtime import: repro.serve imports the scoring core, so the
+    # dependency must stay one-way at module-import time.
+    from repro.serve.batching import CostBreakdown, ServiceCostModel
 
+    if cost is None:
         cost = ServiceCostModel()
-    else:
-        from repro.serve.batching import CostBreakdown
     total = ScoreWork()
-    breakdown_totals = CostBreakdown.zero_totals()
+    breakdown_totals = CostBreakdown()
     n_messages = 0
     n_batches = 0
     detections = 0
@@ -161,8 +154,7 @@ def run_score_bench(
             batch_span.close(simulated, simulated + breakdown.total_seconds)
             batch_span.annotate(detections=n_detections)
         simulated += breakdown.total_seconds
-        for key, value in breakdown.as_dict().items():
-            breakdown_totals[key] += value
+        breakdown_totals.add(breakdown)
         total.add(scored.work)
         n_messages += len(batch)
         n_batches += 1
@@ -187,14 +179,6 @@ def run_score_bench(
     return result
 
 
-@dataclasses.dataclass(frozen=True)
-class GateFailure:
-    """One reason the regression gate rejected a report."""
-
-    check: str
-    detail: str
-
-
 def compare_reports(
     current: dict,
     baseline: dict,
@@ -209,19 +193,12 @@ def compare_reports(
       ``max_regression`` (fractional) below the baseline;
     * extraction still runs at most once per message end to end.
     """
-    failures: list[GateFailure] = []
-    current_mps = float(current.get("messages_per_second", 0.0))
-    baseline_mps = float(baseline.get("messages_per_second", 0.0))
-    floor = baseline_mps * (1.0 - max_regression)
-    if current_mps < floor:
-        failures.append(GateFailure(
-            check="throughput",
-            detail=(
-                f"simulated throughput regressed: {current_mps:,.0f} msg/s "
-                f"< floor {floor:,.0f} (baseline {baseline_mps:,.0f}, "
-                f"tolerance {max_regression:.0%})"
-            ),
-        ))
+    failures = throughput_gate(
+        "simulated throughput",
+        float(current.get("messages_per_second", 0.0)),
+        float(baseline.get("messages_per_second", 0.0)),
+        max_regression,
+    )
     per_message = float(current.get("extractions_per_message", 0.0))
     if per_message > 1.0:
         failures.append(GateFailure(

@@ -19,6 +19,7 @@ import dataclasses
 import math
 from typing import Sequence
 
+from repro.obs.ledger import SUM, Ledger, Metric, fold
 from repro.score.core import ScoreWork
 from repro.serve.queueing import BoundedQueue
 
@@ -77,21 +78,35 @@ class MicroBatcher:
         return deadline, FLUSH_DEADLINE
 
 
-@dataclasses.dataclass(frozen=True)
-class CostBreakdown:
-    """Simulated seconds one batch spent per scoring-path component.
+BUSY_SECONDS = Metric(
+    "busy_seconds", "simulated busy seconds per component"
+)
+
+
+class CostBreakdown(Ledger):
+    """Simulated seconds spent per scoring-path component.
 
     The components mirror the message hot path: **tokenize** (hashing
     texts that missed the token cache), **score** (vectorizer dispatch
     plus model dot products — the only part every message always pays),
     **extract** (PII regex runs that missed the extraction cache), and
-    **state** (per-alert target-state bookkeeping in the monitor).
+    **state** (per-alert target-state bookkeeping in the monitor).  One
+    batch's bill, or — summed with :meth:`add` — a shard's or a bench
+    run's busy time, projected as ``busy_seconds{component=...}``.
     """
 
-    tokenize_seconds: float = 0.0
-    score_seconds: float = 0.0
-    extract_seconds: float = 0.0
-    state_seconds: float = 0.0
+    tokenize_seconds: float = fold(
+        SUM, BUSY_SECONDS(component="tokenize"), default=0.0
+    )
+    score_seconds: float = fold(
+        SUM, BUSY_SECONDS(component="score"), default=0.0
+    )
+    extract_seconds: float = fold(
+        SUM, BUSY_SECONDS(component="extract"), default=0.0
+    )
+    state_seconds: float = fold(
+        SUM, BUSY_SECONDS(component="state"), default=0.0
+    )
 
     @property
     def total_seconds(self) -> float:
@@ -101,35 +116,6 @@ class CostBreakdown:
             + self.extract_seconds
             + self.state_seconds
         )
-
-    def as_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def zero_totals() -> dict[str, float]:
-        """A zeroed component-accumulator dict in field order.
-
-        The one definition every busy-seconds accumulator starts from
-        (shard telemetry, fleet merge, score bench) — adding a
-        component here propagates everywhere.
-        """
-        return dict.fromkeys(BREAKDOWN_COMPONENTS, 0.0)
-
-    def populate_metrics(self, registry, **labels: object) -> None:
-        """Emit per-component busy seconds into a registry."""
-        family = registry.counter(
-            "busy_seconds", help="simulated busy seconds per component"
-        )
-        for component, seconds in self.as_dict().items():
-            family.labels(
-                component=component.removesuffix("_seconds"), **labels
-            ).inc(seconds)
-
-
-#: Component field names of :class:`CostBreakdown`, in declaration order.
-BREAKDOWN_COMPONENTS: tuple[str, ...] = tuple(
-    field.name for field in dataclasses.fields(CostBreakdown)
-)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,8 +23,10 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-from typing import Deque, Iterable
+from typing import Deque
 
+from repro.obs.ledger import MAX, SUM, Ledger, Metric, derived, fold
+from repro.obs.metrics import GAUGE
 from repro.service.stream import StreamMessage
 
 
@@ -39,19 +41,30 @@ class BackpressurePolicy(enum.Enum):
     SHED_NEWEST = "shed-newest"
 
 
-@dataclasses.dataclass
-class QueueAccounting:
-    """Message-conservation ledger for one shard queue."""
+QUEUE_MESSAGES = Metric(
+    "queue_messages", "messages per queue-accounting outcome"
+)
 
-    offered: int = 0
-    admitted: int = 0
-    shed: int = 0
-    dropped: int = 0
-    requeued: int = 0
-    taken: int = 0
-    max_depth: int = 0
 
-    @property
+class QueueAccounting(Ledger):
+    """Message-conservation ledger for one shard queue.
+
+    Fleet-wise, message counts sum; ``max_depth`` takes the worst shard
+    — a sum of per-shard depth high-water marks would describe a
+    backlog that never existed anywhere.
+    """
+
+    offered: int = fold(SUM, QUEUE_MESSAGES(outcome="offered"))
+    admitted: int = fold(SUM, QUEUE_MESSAGES(outcome="admitted"))
+    shed: int = fold(SUM, QUEUE_MESSAGES(outcome="shed"))
+    dropped: int = fold(SUM, QUEUE_MESSAGES(outcome="dropped"))
+    requeued: int = fold(SUM, QUEUE_MESSAGES(outcome="requeued"))
+    taken: int = fold(SUM, QUEUE_MESSAGES(outcome="taken"))
+    max_depth: int = fold(MAX, Metric(
+        "queue_max_depth", "deepest backlog the queue reached", GAUGE
+    ))
+
+    @derived
     def unaccounted(self) -> int:
         """Messages neither in flight nor in any terminal bucket.
 
@@ -63,56 +76,6 @@ class QueueAccounting:
             self.offered - self.taken - self.shed - self.dropped
             - self.requeued
         )
-
-    def merge(self, other: "QueueAccounting") -> "QueueAccounting":
-        """Fleet-wise combination (neither operand is mutated).
-
-        Message counts sum; ``max_depth`` takes the worst shard — a sum
-        of per-shard depth high-water marks would describe a backlog
-        that never existed anywhere.
-        """
-        return QueueAccounting(
-            offered=self.offered + other.offered,
-            admitted=self.admitted + other.admitted,
-            shed=self.shed + other.shed,
-            dropped=self.dropped + other.dropped,
-            requeued=self.requeued + other.requeued,
-            taken=self.taken + other.taken,
-            max_depth=max(self.max_depth, other.max_depth),
-        )
-
-    @classmethod
-    def merged(cls, accountings: Iterable["QueueAccounting"]) -> "QueueAccounting":
-        """Aggregate per-shard ledgers into one fleet view."""
-        total = cls()
-        for accounting in accountings:
-            total = total.merge(accounting)
-        return total
-
-    def as_dict(self) -> dict[str, int]:
-        data = dataclasses.asdict(self)
-        data["unaccounted"] = self.unaccounted
-        return data
-
-    def populate_metrics(self, registry, **labels: object) -> None:
-        """Emit this ledger into an observability registry.
-
-        One ``queue_messages`` counter per outcome bucket plus the
-        depth high-water gauge, all carrying ``labels`` (the caller
-        adds ``shard=...``).
-        """
-        outcomes = registry.counter(
-            "queue_messages", help="messages per queue-accounting outcome"
-        )
-        for outcome in (
-            "offered", "admitted", "shed", "dropped", "requeued", "taken"
-        ):
-            outcomes.labels(outcome=outcome, **labels).inc(
-                getattr(self, outcome)
-            )
-        registry.gauge(
-            "queue_max_depth", help="deepest backlog the queue reached"
-        ).labels(**labels).set(self.max_depth)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -32,6 +32,7 @@ import dataclasses
 import enum
 from typing import Iterable, Mapping, Sequence
 
+from repro.obs.ledger import SUM, Ledger, Metric, fold
 from repro.score.core import ScoredBatch, ScoringCore, extract_targets
 from repro.service.stream import StreamMessage
 from repro.util.batching import iter_batches
@@ -168,45 +169,23 @@ class MonitorConfig:
             raise ValueError("campaign window must be positive")
 
 
-@dataclasses.dataclass
-class MonitorStats:
-    messages_processed: int = 0
-    cth_detected: int = 0
-    dox_detected: int = 0
-    campaigns_alerted: int = 0
-    escalations_alerted: int = 0
+MONITOR_EVENTS = Metric("monitor_events", "monitor detections/alerts by kind")
 
-    def as_dict(self) -> dict[str, int]:
-        """Field-name -> count snapshot, stable field order."""
-        return dataclasses.asdict(self)
 
-    def merge(self, other: "MonitorStats") -> "MonitorStats":
-        """Counter-wise sum with ``other`` (neither operand is mutated)."""
-        return MonitorStats(**{
-            field.name: getattr(self, field.name) + getattr(other, field.name)
-            for field in dataclasses.fields(MonitorStats)
-        })
+class MonitorStats(Ledger):
+    """Monitor counters, one ``monitor_events{event=...}`` series each."""
 
-    @classmethod
-    def merged(cls, stats: Iterable["MonitorStats"]) -> "MonitorStats":
-        """Aggregate per-shard stats into one snapshot."""
-        total = cls()
-        for item in stats:
-            total = total.merge(item)
-        return total
-
-    def populate_metrics(self, registry, **labels: object) -> None:
-        """Emit the counters into an observability registry.
-
-        One ``monitor_events`` counter family, labeled by event kind
-        (plus whatever the caller adds, e.g. ``shard=...``) — the
-        labeled-metrics shape the obs layer standardizes on.
-        """
-        family = registry.counter(
-            "monitor_events", help="monitor detections/alerts by kind"
-        )
-        for event, count in self.as_dict().items():
-            family.labels(event=event, **labels).inc(count)
+    messages_processed: int = fold(
+        SUM, MONITOR_EVENTS(event="messages_processed")
+    )
+    cth_detected: int = fold(SUM, MONITOR_EVENTS(event="cth_detected"))
+    dox_detected: int = fold(SUM, MONITOR_EVENTS(event="dox_detected"))
+    campaigns_alerted: int = fold(
+        SUM, MONITOR_EVENTS(event="campaigns_alerted")
+    )
+    escalations_alerted: int = fold(
+        SUM, MONITOR_EVENTS(event="escalations_alerted")
+    )
 
 
 class HarassmentMonitor:

@@ -616,7 +616,7 @@ def test_gateway_telemetry_merge_and_metrics():
     assert list(merged.tenants) == ["alpha", "zeta"]
     assert merged.tenants["alpha"].admission.offered == 4
     assert merged.conservation_ok
-    assert merged.merged_admission().offered == 8
+    assert merged.admission.offered == 8
     snapshot = merged.as_dict()
     assert snapshot["conservation_ok"] is True
     from repro.obs.metrics import MetricsRegistry

@@ -1,5 +1,6 @@
 """Project call graph: resolution, reachability, caching, and the
-merge-contract gate that re-catches the PR 6 bug class forever."""
+whole-repo CONC gate; plus the merged-telemetry behaviour the ledger
+fold must keep."""
 
 import ast
 import pathlib
@@ -175,7 +176,7 @@ def test_all_graph_rules_share_one_graph_build(tmp_path):
         "    def merge(self, other):\n"
         "        return Ledger()\n"
     )
-    result = run_lint([victim], select=["CONC", "MRG"])
+    result = run_lint([victim], select=["CONC"])
     assert result.project.graph_builds == 1
     assert result.stats.graph_builds == 1
     assert result.stats.graph_functions > 0
@@ -202,45 +203,13 @@ def test_project_rule_findings_honour_noqa():
     assert [f.rule for f in findings] == ["CONC003"]
 
 
-# -- the PR 6 bug class, structurally ----------------------------------------
-
-def test_seeded_mutation_dropping_a_merge_field_is_caught():
-    """Acceptance: delete one field from QueueAccounting.merge -> MRG001."""
-    source = (REPO_ROOT / "src/repro/serve/queueing.py").read_text()
-    clean = lint_source(source, "queueing.py", select_rules(["MRG"]))
-    assert clean == []
-    mutated = source.replace(
-        "            dropped=self.dropped + other.dropped,\n", ""
-    )
-    assert mutated != source, "seed line not found; update the mutation"
-    findings = lint_source(mutated, "queueing.py", select_rules(["MRG"]))
-    assert [f.rule for f in findings] == ["MRG001"]
-    assert "'dropped'" in findings[0].message
-
-
-def test_seeded_mutation_hiding_a_merged_field_from_as_dict_is_caught():
-    """Regression guard for the ShardTelemetry.as_dict parity fix."""
-    source = (REPO_ROOT / "src/repro/serve/telemetry.py").read_text()
-    assert lint_source(source, "telemetry.py", select_rules(["MRG"])) == []
-    span_lines = (
-        '            "first_batch_start": (\n'
-        "                self.first_batch_start if self.batches else None\n"
-        "            ),\n"
-        '            "last_batch_end": self.last_batch_end if self.batches'
-        " else None,\n"
-    )
-    assert span_lines in source, "as_dict span lines moved; update the mutation"
-    mutated = source.replace(span_lines, "")
-    findings = lint_source(mutated, "telemetry.py", select_rules(["MRG"]))
-    assert [f.rule for f in findings] == ["MRG002"]
-    assert "first_batch_start" in findings[0].message
-
+# -- the whole-repo gate ------------------------------------------------------
 
 def test_whole_repo_graph_packs_are_clean_beyond_justified_baseline():
-    """Acceptance: `repro lint --select CONC,MRG src/repro` gate holds."""
+    """Acceptance: `repro lint --select CONC src/repro` gate holds."""
     from repro.analysis.lint import Baseline
 
-    result = run_lint([REPO_ROOT / "src" / "repro"], select=["CONC", "MRG"])
+    result = run_lint([REPO_ROOT / "src" / "repro"], select=["CONC"])
     baseline = Baseline.load(REPO_ROOT / ".repro-lint-baseline.json")
     split = baseline.split(result.findings)
     assert split.new == ()
@@ -248,10 +217,9 @@ def test_whole_repo_graph_packs_are_clean_beyond_justified_baseline():
     for entry in baseline.entries:
         assert entry.justification
         assert "TODO" not in entry.justification
-    # and no source file sneaks a CONC/MRG suppression past the gate
+    # and no source file sneaks a CONC suppression past the gate
     for source in (REPO_ROOT / "src" / "repro").rglob("*.py"):
-        text = source.read_text()
-        assert "noqa[CONC" not in text and "noqa[MRG" not in text, source
+        assert "noqa[CONC" not in source.read_text(), source
 
 
 # -- merged telemetry behaves like the contract says -------------------------

@@ -16,9 +16,6 @@ CASES = {
     "DET001": ("det001_bad.py", 6, "det001_good.py"),
     "DET002": ("det002_bad.py", 4, "det002_good.py"),
     "DET003": ("det003_bad.py", 5, "det003_good.py"),
-    "MRG001": ("mrg001_bad.py", 2, "mrg001_good.py"),
-    "MRG002": ("mrg002_bad.py", 2, "mrg002_good.py"),
-    "MRG003": ("mrg003_bad.py", 2, "mrg003_good.py"),
     "PUR001": ("pur001_bad.py", 3, "pur001_good.py"),
     "PUR002": ("pur002_bad.py", 2, "pur002_good.py"),
 }

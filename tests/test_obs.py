@@ -15,6 +15,7 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 
@@ -31,7 +32,6 @@ from repro.obs import (
     diff_runs,
     find_regressions,
     load_run,
-    merge_histograms,
     metrics_json,
     render_dashboard,
     trace_jsonl,
@@ -84,7 +84,9 @@ def test_merge_associative_across_three_shards():
     a, b, c = _hist([0.001, 0.2]), _hist([0.05]), _hist([1.5, 3.0, 0.004])
     left = a.merge(b).merge(c)
     right = a.merge(b.merge(c))
-    folded = merge_histograms([a, b, c])
+    folded = functools.reduce(
+        LatencyHistogram.merge, [a, b, c], LatencyHistogram()
+    )
     for other in (right, folded):
         # Bucket counts, extremes, and quantiles are exactly associative;
         # `total` is float addition, so the mean only matches to rounding.
@@ -411,9 +413,6 @@ def test_obs_package_is_det_lint_clean_with_no_suppressions():
     package = pathlib.Path("src/repro/obs")
     assert package.is_dir()
     # DET/PUR/CONC must hold with zero findings and zero suppressions.
-    # The MRG pack is gated separately: the registry primitives carry two
-    # justified MRG003 baseline entries (see .repro-lint-baseline.json),
-    # and the baselined whole-repo gate is covered by the dogfood tests.
     findings = lint_paths([str(package)], select=["DET", "PUR", "CONC"])
     assert findings == [], [f"{f.rule}:{f.path}:{f.line}" for f in findings]
     for source in package.glob("*.py"):

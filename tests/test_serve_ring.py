@@ -319,7 +319,7 @@ def test_rebalance_schedule_preserves_alerts(
     assert result.rebalances[0]["shards_after"] == [0, 1, 2, 3]
     assert result.rebalances[1]["shards_after"] == [0, 1, 2]
     assert tuple(result.ring.shard_ids) == (0, 1, 2)
-    assert result.telemetry.merged_monitor_stats().messages_processed == len(
+    assert result.telemetry.total().monitor.messages_processed == len(
         corpus_stream
     )
 

@@ -248,15 +248,16 @@ def test_empty_fleet_telemetry():
 
 
 def test_empty_fleet_merged_views_are_total():
-    # All-shards-failed: every merged_* accessor must stay well-defined
-    # on an empty shard list, not raise.
+    # All-shards-failed: the fleet total must stay well-defined on an
+    # empty shard list, not raise.
     fleet = ServeTelemetry(shards=[])
+    total = fleet.total()
     assert fleet.merged_accounting().offered == 0
-    assert fleet.merged_service_time().count == 0
-    assert fleet.merged_queue_wait().count == 0
-    assert fleet.merged_monitor_stats().messages_processed == 0
+    assert total.service_time.count == 0
+    assert total.queue_wait.count == 0
+    assert total.monitor.messages_processed == 0
     assert fleet.merged_score_work().as_dict()
-    assert sum(fleet.merged_busy_breakdown().values()) == 0.0
+    assert sum(total.busy_breakdown.as_dict().values()) == 0.0
     assert fleet.load_skew == 0.0
     assert fleet.messages_scored == 0
     snapshot = fleet.as_dict()
@@ -386,10 +387,13 @@ def test_flush_decision_reports_reason():
 
 def test_cost_breakdown_zero_totals_and_registry():
     from repro.obs import MetricsRegistry
-    from repro.serve.batching import BREAKDOWN_COMPONENTS, CostBreakdown
+    from repro.serve.batching import CostBreakdown
 
-    totals = CostBreakdown.zero_totals()
-    assert tuple(totals) == BREAKDOWN_COMPONENTS
+    totals = CostBreakdown().as_dict()
+    assert tuple(totals) == (
+        "tokenize_seconds", "score_seconds", "extract_seconds",
+        "state_seconds",
+    )
     assert set(totals.values()) == {0.0}
     registry = MetricsRegistry()
     CostBreakdown(
