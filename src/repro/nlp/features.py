@@ -33,41 +33,45 @@ class HashingVectorizer:
     def n_features(self) -> int:
         return 1 << self.n_bits
 
-    def _feature_ids(self, hashes: np.ndarray) -> np.ndarray:
-        """Map a token-hash array to hashed unigram (+bigram) feature ids."""
-        mask = np.uint64(self.n_features - 1)
-        ids = hashes & mask
-        if self.use_bigrams and hashes.size >= 2:
-            bigrams = ((hashes[:-1] * _MIX) ^ hashes[1:]) & mask
-            ids = np.concatenate([ids, bigrams])
-        return ids.astype(np.int64)
-
     def transform_hashes(self, hash_arrays: Sequence[np.ndarray]) -> sparse.csr_matrix:
-        """Vectorize pre-hashed documents (or spans) into one CSR matrix."""
-        indptr = [0]
-        indices_parts: list[np.ndarray] = []
-        data_parts: list[np.ndarray] = []
-        for hashes in hash_arrays:
-            if hashes.size == 0:
-                indptr.append(indptr[-1])
-                continue
-            ids = self._feature_ids(hashes)
-            uniq, counts = np.unique(ids, return_counts=True)
-            values = counts.astype(np.float64)
-            norm = np.sqrt((values * values).sum())
-            values /= norm
-            indices_parts.append(uniq)
-            data_parts.append(values)
-            indptr.append(indptr[-1] + uniq.size)
-        if indices_parts:
-            indices = np.concatenate(indices_parts)
-            data = np.concatenate(data_parts)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.float64)
+        """Vectorize pre-hashed documents (or spans) into one CSR matrix.
+
+        The whole batch is built at once: every unigram and in-row bigram
+        id gets the key ``(row << n_bits) | id``, one sort groups equal
+        keys, and each run's length is that feature's count.  Row norms
+        are summed over the integer counts in int64, which is exact, so
+        ``sqrt`` and the division see the same operands a per-row loop
+        would and every ``data`` bit matches it (see DESIGN.md §11).
+        """
+        n_rows = len(hash_arrays)
+        lengths = np.fromiter(
+            (hashes.size for hashes in hash_arrays), dtype=np.int64, count=n_rows
+        )
+        hashes = np.concatenate([np.empty(0, dtype=np.uint64), *hash_arrays])
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), lengths)
+        mask = np.uint64(self.n_features - 1)
+        keys = (hashes & mask).astype(np.int64)
+        if self.use_bigrams:
+            # A bigram pairs token i with token i+1 only inside one row.
+            same_row = rows[:-1] == rows[1:]
+            bigrams = ((hashes[:-1] * _MIX) ^ hashes[1:]) & mask
+            keys = np.concatenate([keys, bigrams[same_row].astype(np.int64)])
+            rows = np.concatenate([rows, rows[:-1][same_row]])
+        keys |= rows << self.n_bits
+        keys.sort()
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        counts = np.diff(np.append(starts, keys.size))
+        uniq = keys[starts]
+        row_nnz = np.bincount(uniq >> self.n_bits, minlength=n_rows)
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(row_nnz, out=indptr[1:])
+        cum_sq = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts * counts, out=cum_sq[1:])
+        norms = np.sqrt((cum_sq[indptr[1:]] - cum_sq[indptr[:-1]]).astype(np.float64))
+        data = counts.astype(np.float64) / np.repeat(norms, row_nnz)
         return sparse.csr_matrix(
-            (data, indices, np.array(indptr, dtype=np.int64)),
-            shape=(len(hash_arrays), self.n_features),
+            (data, uniq & np.int64(self.n_features - 1), indptr),
+            shape=(n_rows, self.n_features),
         )
 
     def transform_cache(self, cache: TokenCache) -> sparse.csr_matrix:

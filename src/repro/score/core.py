@@ -153,8 +153,9 @@ class ScoredBatch:
     """One batch after the pure scoring pass, before any state updates.
 
     Holds everything :meth:`HarassmentMonitor.process_scored` needs to
-    make alert decisions without touching a tokenizer or regex:
-    features, both model scores, and per-message extractions.  An
+    make alert decisions without touching a tokenizer or regex: both
+    model scores and per-message extractions.  The features are not
+    kept; the scores are the only model output carried forward.  An
     extraction slot may be ``None`` (batch path scores first, extracts
     only for detections); :meth:`extraction` then computes it lazily
     through the core's cache and records the work on this batch's
@@ -162,7 +163,6 @@ class ScoredBatch:
     """
 
     messages: Sequence["StreamMessage"]
-    features: sparse.csr_matrix
     cth_scores: np.ndarray
     dox_scores: np.ndarray
     work: ScoreWork
@@ -198,10 +198,6 @@ class ScoredBatch:
         """
         return ScoredBatch(
             messages=[self.messages[i] for i in indices],
-            features=(
-                self.features[list(indices)]
-                if self.features is not None else None
-            ),
             cth_scores=self.cth_scores[list(indices)],
             dox_scores=self.dox_scores[list(indices)],
             work=self.work,
@@ -223,8 +219,7 @@ class ScoredBatch:
         The failover/hot-key reunification path stores ``(message,
         scores, extraction)`` tuples while shards do the expensive
         scoring, then replays them through a monitor's stateful pass —
-        no re-tokenization, no re-extraction.  ``features`` is ``None``
-        (the state path never reads it) and the fresh work ledger only
+        no re-tokenization, no re-extraction.  The fresh work ledger only
         accumulates lazy taxonomy-coding done during the replay.
         """
         if not (
@@ -238,7 +233,6 @@ class ScoredBatch:
             )
         return cls(
             messages=list(messages),
-            features=None,
             cth_scores=np.asarray(cth_scores, dtype=float),
             dox_scores=np.asarray(dox_scores, dtype=float),
             work=ScoreWork(),
@@ -248,7 +242,7 @@ class ScoredBatch:
 
 
 class ScoringCore:
-    """The shared text → (features, scores, extraction) engine.
+    """The shared text → (scores, extraction) engine.
 
     One instance per monitor (hence per shard): the caches are
     instance-local so per-shard work ledgers — and therefore simulated
@@ -375,7 +369,6 @@ class ScoringCore:
             )
         return ScoredBatch(
             messages=messages,
-            features=features,
             cth_scores=cth_scores,
             dox_scores=dox_scores,
             work=work,

@@ -9,6 +9,7 @@ from repro.corpus.identity import PersonFactory, PII_CATEGORIES
 from repro.extraction.pii import (
     N_PATTERNS,
     PII_EXTRACTORS,
+    PII_GUARDS,
     evaluate_extractors,
     extract_pii,
     pii_categories_present,
@@ -116,3 +117,102 @@ def test_extract_never_crashes(text):
     assert set(found) <= set(PII_EXTRACTORS)
     present = pii_categories_present(text)
     assert present == frozenset(found)
+
+
+# -- guarded bank vs the plain pattern loop ----------------------------------
+
+
+def _unguarded_extract(text):
+    found = {}
+    for category, patterns in PII_EXTRACTORS.items():
+        values = dict.fromkeys(
+            match.group(1) if match.groups() else match.group(0)
+            for pattern in patterns
+            for match in pattern.finditer(text)
+        )
+        if values:
+            found[category] = list(values)
+    return found
+
+
+def test_every_category_has_a_guard_with_its_patterns_flags():
+    assert set(PII_GUARDS) == set(PII_EXTRACTORS)
+    for category, patterns in PII_EXTRACTORS.items():
+        for pattern in patterns:
+            assert pattern.flags == PII_GUARDS[category].flags, category
+
+
+def test_guard_accepts_ignorecase_folds():
+    # str.lower() leaves these alone, but re.IGNORECASE folds them.
+    assert extract_pii("ınstagram.com/some_user") == {"instagram": ["some_user"]}
+    assert extract_pii("twıtter: somebody1") == {"twitter": ["somebody1"]}
+    assert extract_pii("İg: some_user") == {"instagram": ["some_user"]}
+
+
+def test_digit_guard_accepts_non_ascii_digits():
+    assert extract_pii("call ٣١٢-٥٥٥-٠١٤٧") == {"phone": ["٣١٢-٥٥٥-٠١٤٧"]}
+
+
+#: Non-ASCII characters that re.IGNORECASE folds onto ASCII letters.
+_FOLDS = {"i": "İı", "s": "ſ", "k": "K"}
+_NAMES = (
+    "facebook", "fb", "instagram", "insta", "ig", "twitter", "twtr",
+    "youtube", "yt channel", "yt", ".com/", "c/", "channel/", "user/",
+    "login", "explore", "search", "kid_kool", "sks.ik", "mail.example",
+)
+
+
+def _mangled(name):
+    return st.tuples(*(
+        st.sampled_from([c, c.upper(), *_FOLDS.get(c, "")]) for c in name
+    )).map("".join)
+
+
+_name = st.sampled_from(_NAMES).flatmap(_mangled)
+_username = st.text(alphabet="abcXYZ09_.-", min_size=1, max_size=12)
+# Whole label- and URL-shaped runs, so that near-misses of every social
+# pattern come up often, not only by chance concatenation.
+_labelled = st.tuples(
+    _name, st.sampled_from([":", "-", " : ", ":@", " -@"]), _username
+).map("".join)
+_url = st.tuples(
+    st.sampled_from(["", "https://", "http://www.", "www."]),
+    _name,
+    st.sampled_from(["", ".com/", ".com/c/", ".com/@"]),
+    _username,
+).map("".join)
+
+# Phone-, SSN-, card- and address-shaped runs whose digits may be
+# non-ASCII: ``\d`` matches any Unicode decimal digit.
+_number = st.tuples(
+    st.sampled_from([
+        "ddd-ddd-dddd", "(ddd) ddd-dddd", "ddd-dd-dddd",
+        "4ddd dddd dddd dddd", "dd Maple St", "ddddd",
+    ]),
+    st.sampled_from(["0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "7٣３०"]),
+).flatmap(lambda shape_digits: st.tuples(*(
+    st.sampled_from(shape_digits[1]) if c == "d" else st.just(c)
+    for c in shape_digits[0]
+)).map("".join))
+
+_fragment = st.one_of(
+    _name,
+    _labelled,
+    _url,
+    _number,
+    st.sampled_from([
+        "@", ":", "-", " ", ": ", " - ", "https://", "http://", "www.", "/",
+        ".", "_", "٣", "３", "०", "(", ")",
+    ]),
+    _username,
+)
+
+
+@given(st.lists(_fragment, max_size=25).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_guarded_bank_matches_unguarded_loop(text):
+    expected = _unguarded_extract(text)
+    found = extract_pii(text)
+    assert found == expected
+    assert list(found) == list(expected)
+    assert pii_categories_present(text) == frozenset(expected)
