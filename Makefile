@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint lint-repro lint-contracts bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench score-bench test-obs obs-smoke test-gateway gateway-bench bench-reports-check experiments examples clean
+.PHONY: install test lint lint-repro lint-contracts bench bench-tiny study cache-clean verify-cache test-recovery test-serve test-ring serve-bench score-bench test-obs obs-smoke test-gateway gateway-bench bench-reports-check perfbench experiments examples clean
 
 CACHE_DIR ?= .study-cache
 
@@ -99,6 +99,16 @@ bench-reports-check:
 		cmp $$out/BENCH_$$name.json benchmarks/reports/BENCH_$$name.json; \
 	done; \
 	echo "bench reports match benchmarks/reports/"
+
+# Wall-clock benchmark: its own tests, then one traced run per workload
+# at seed 7, each ending in the per-layer calls/self-time table.  Runs
+# write only under the git-ignored perfbench/out/ (~4 min in total).
+perfbench:
+	python3 -m pytest perfbench -q
+	set -e; for workload in serve-repeat gateway-rounds; do \
+		python3 perfbench/run.py --workload $$workload --seed 7 \
+			--seconds 15 --trace 1; \
+	done
 
 # Observability suite: tracer/registry/exporter units plus the
 # cross-runtime byte-identical-trace and diff-gate integration tests.

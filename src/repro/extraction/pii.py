@@ -118,7 +118,9 @@ PII_GUARDS: Mapping[str, re.Pattern[str]] = {
     "credit_card": _DIGIT,
     "email": re.compile("@"),
     "facebook": re.compile("facebook|fb", re.IGNORECASE),
-    "instagram": re.compile("insta|ig", re.IGNORECASE),
+    # ``ig`` alone is in too many words ("right", "big"); the label
+    # pattern only accepts it as a whole word before ``:`` or ``-``.
+    "instagram": re.compile(r"insta|\big\s*[:\-]", re.IGNORECASE),
     "phone": _DIGIT,
     "ssn": _DIGIT,
     "twitter": re.compile("twitter|twtr", re.IGNORECASE),

@@ -20,6 +20,7 @@ bench.
 from __future__ import annotations
 
 import dataclasses
+import hmac
 import math
 from typing import Iterable, Mapping
 
@@ -166,7 +167,10 @@ class TenantRegistry:
     def authenticate(self, tenant: str, api_key: str) -> bool:
         """True iff ``api_key`` is the registered key for ``tenant``."""
         expected = self._keys.get(tenant)
-        return expected is not None and api_key == expected
+        # Constant-time over bytes: compare_digest rejects non-ASCII str.
+        return expected is not None and hmac.compare_digest(
+            api_key.encode("utf-8"), expected.encode("utf-8")
+        )
 
     def credentials(self) -> dict[str, str]:
         """tenant id -> API key, for driving the gateway in tests/bench."""

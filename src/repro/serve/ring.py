@@ -10,7 +10,10 @@ function of the shard id — no wall clock, no process salt); a key is
 owned by the first virtual node clockwise of ``stable_hash("serve-route",
 key)``.  Adding or removing a shard only moves the keys on the arcs
 that shard's own points cover, which is what makes the elastic
-schedules in ``ServingRuntime.run`` cheap.
+schedules in ``ServingRuntime.run`` cheap.  Because placement is pure,
+each shard's sorted run of points is computed once while cached
+(:func:`_shard_points`) and every later ring over that shard and weight
+merges the cached runs instead of rehashing them.
 
 Two more pieces live here because they are pure policy over the ring:
 
@@ -33,6 +36,8 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import enum
+import functools
+import itertools
 import math
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -48,6 +53,24 @@ DEFAULT_VNODES = 128
 #: Sentinel accepted by :class:`KillSpec` — resolve the victim to the
 #: shard that scored the most messages so far when the kill fires.
 HOTTEST = "hottest"
+
+
+# Entries are (shard, weight) pairs: uniform rings need one per shard id
+# at the configured vnode count, and each planned split or steal adds at
+# most two (donor and peer), so the serve, gateway and perfbench schedules
+# over shard ids 0-4 use a handful.  256 leaves room for long planned runs
+# while bounding the cache (~3 MB at 128 points per run).
+@functools.lru_cache(maxsize=256)
+def _shard_points(shard: int, weight: int) -> tuple[tuple[int, int], ...]:
+    """Sorted ``(hash, shard)`` points of ``shard``'s first ``weight`` replicas.
+
+    A pure function of its arguments, so it is memoised: a resize, kill
+    or steal rebuilds its ring from cached runs instead of rehashing.
+    """
+    return tuple(sorted(
+        (stable_hash("serve-ring", shard, replica), shard)
+        for replica in range(weight)
+    ))
 
 
 class HashRing:
@@ -75,12 +98,12 @@ class HashRing:
                 )
         self._weights: dict[int, int] = dict(sorted(weights.items()))
         # Ties on the hash value are broken by shard id so the point
-        # order — and therefore every owner() answer — is total.
-        points = sorted(
-            (stable_hash("serve-ring", shard, replica), shard)
+        # order — and therefore every owner() answer — is total.  Each
+        # cached run is already sorted, so this sort is a merge of runs.
+        points = sorted(itertools.chain.from_iterable(
+            _shard_points(shard, weight)
             for shard, weight in self._weights.items()
-            for replica in range(weight)
-        )
+        ))
         self._points: list[tuple[int, int]] = points
         self._hashes: list[int] = [point_hash for point_hash, _ in points]
 

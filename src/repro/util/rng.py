@@ -21,13 +21,13 @@ def stable_hash(*parts: object) -> int:
 
     Python's built-in ``hash`` is salted per process for strings, so it
     cannot be used to derive reproducible seeds.  This uses blake2b over
-    the repr of each part instead.
+    the repr of each part, each followed by a unit-separator byte (0x1f).
+    blake2b is a streaming hash, so one call on the joined bytes gives
+    the digest that feeding the parts one by one would, for less
+    per-call overhead.
     """
-    digest = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
-        digest.update(b"\x1f")
-    return int.from_bytes(digest.digest(), "big") & _MASK64
+    data = "".join(repr(part) + "\x1f" for part in parts).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.identity import PersonFactory, PII_CATEGORIES
@@ -159,6 +159,7 @@ _NAMES = (
     "facebook", "fb", "instagram", "insta", "ig", "twitter", "twtr",
     "youtube", "yt channel", "yt", ".com/", "c/", "channel/", "user/",
     "login", "explore", "search", "kid_kool", "sks.ik", "mail.example",
+    "big", "figure",
 )
 
 
@@ -210,6 +211,15 @@ _fragment = st.one_of(
 
 @given(st.lists(_fragment, max_size=25).map("".join))
 @settings(max_examples=400, deadline=None)
+# ``ig`` inside a word is not a label; as a whole word before ``:`` or
+# ``-`` (in any case fold) it is.
+@example("big: x")
+@example("big: some_user")
+@example("ig -")
+@example("ig -some_user")
+@example("İg:")
+@example("İg: some_user")
+@example("figure: 3")
 def test_guarded_bank_matches_unguarded_loop(text):
     expected = _unguarded_extract(text)
     found = extract_pii(text)

@@ -174,6 +174,13 @@ def test_authenticate_rejects_wrong_and_unknown():
     assert "alpha" in registry and "nobody" not in registry
 
 
+@pytest.mark.parametrize("presented", ["0" * 16, "ключ-é-鍵", "", "\x00"])
+def test_authenticate_rejects_bad_keys_without_raising(presented):
+    registry = _generous_registry()
+    assert not registry.authenticate("alpha", presented)
+    assert not registry.authenticate("nobody", presented)
+
+
 def test_tenant_config_validation():
     with pytest.raises(ValueError):
         TenantConfig(tenant="")

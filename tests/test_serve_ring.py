@@ -10,10 +10,14 @@ conservation law ``offered == taken + shed + dropped + requeued +
 depth`` holds for every shard through all of it.
 """
 
+import bisect
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus.generator import CorpusBuilder, CorpusConfig
 from repro.nlp.features import HashingVectorizer
@@ -34,7 +38,8 @@ from repro.serve import (
     detect_hot_keys,
     salt_key,
 )
-from repro.serve.ring import HOTTEST, PlanKind
+from repro.serve import ring as ring_module
+from repro.serve.ring import HOTTEST, PlanKind, _shard_points
 from repro.serve.telemetry import ServeTelemetry
 from repro.service.monitor import (
     HarassmentMonitor,
@@ -43,6 +48,7 @@ from repro.service.monitor import (
 )
 from repro.service.stream import MessageStream, StreamMessage
 from repro.types import Platform, Source, Task
+from repro.util.rng import stable_hash
 
 CTH_TEXT = (
     "we should mass report her account until the platform bans her, "
@@ -167,6 +173,122 @@ def test_ring_validation():
         HashRing.uniform(range(2), vnodes=4).steal(0, 1, 4)  # would empty donor
     with pytest.raises(ValueError):
         HashRing.uniform(range(2)).add_shard(1)  # already present
+
+
+# -- memoised placement vs direct per-vnode hashing -----------------------------
+
+def _reference_points(weights, placement):
+    """Every vnode hashed directly, sorted with ties broken by shard id."""
+    return sorted(
+        (placement("serve-ring", shard, replica), shard)
+        for shard, weight in weights.items()
+        for replica in range(weight)
+    )
+
+
+def _reference_owner(points, key, placement):
+    index = bisect.bisect_right(
+        [point_hash for point_hash, _ in points], placement("serve-route", key)
+    )
+    return points[index % len(points)][1]
+
+
+_shard = st.integers(min_value=0, max_value=7)
+_weight = st.integers(min_value=1, max_value=40)
+_op = st.one_of(
+    st.tuples(
+        st.just("with_weights"),
+        st.dictionaries(_shard, st.integers(min_value=0, max_value=40),
+                        max_size=3),
+    ),
+    st.tuples(st.just("add_shard"), _shard, st.one_of(st.none(), _weight)),
+    st.tuples(st.just("remove_shard"), _shard),
+    st.tuples(st.just("steal"), _shard, _shard, _weight),
+)
+
+
+def _apply(ring, weights, op):
+    """``op`` on ``ring`` and on a plain weights dict, or None if invalid."""
+    kind, *args = op
+    expected = dict(weights)
+    if kind == "with_weights":
+        (changes,) = args
+        for shard, weight in changes.items():
+            if weight:
+                expected[shard] = weight
+            else:
+                expected.pop(shard, None)
+        if not expected:
+            return None
+        return ring.with_weights(changes), expected
+    if kind == "add_shard":
+        shard, vnodes = args
+        if shard in weights:
+            return None
+        expected[shard] = vnodes or max(
+            1, round(sum(weights.values()) / len(weights))
+        )
+        return ring.add_shard(shard, vnodes), expected
+    if kind == "remove_shard":
+        (shard,) = args
+        if shard not in weights or len(weights) == 1:
+            return None
+        del expected[shard]
+        return ring.remove_shard(shard), expected
+    donor, thief, vnodes = args
+    if (
+        donor == thief
+        or donor not in weights
+        or thief not in weights
+        or weights[donor] - vnodes < 1
+    ):
+        return None
+    expected[donor] -= vnodes
+    expected[thief] += vnodes
+    return ring.steal(donor, thief, vnodes), expected
+
+
+@given(
+    weights=st.dictionaries(_shard, _weight, min_size=1, max_size=5),
+    ops=st.lists(_op, max_size=6),
+    keys=st.lists(st.text(max_size=12), min_size=1, max_size=40),
+    cold=st.booleans(),
+    # A coarse placement hash forces ties, so the shard-id tie-break is
+    # exercised; None keeps the real 64-bit hash.
+    modulus=st.sampled_from([None, 8, 64]),
+)
+@settings(max_examples=150, deadline=None)
+def test_cached_placement_matches_direct_hashing(
+    weights, ops, keys, cold, modulus
+):
+    placement = (
+        stable_hash if modulus is None
+        else lambda *parts: stable_hash(*parts) % modulus
+    )
+    if modulus is not None or cold:
+        _shard_points.cache_clear()
+    try:
+        with mock.patch.object(ring_module, "stable_hash", placement):
+            ring = HashRing(weights)
+            current = dict(weights)
+            for op in [None, *ops]:
+                if op is not None:
+                    if cold:
+                        _shard_points.cache_clear()
+                    step = _apply(ring, current, op)
+                    if step is None:
+                        continue
+                    ring, current = step
+                assert ring.weights == current
+                expected = _reference_points(current, placement)
+                assert ring._points == expected
+                assert [ring.owner(key) for key in keys] == [
+                    _reference_owner(expected, key, placement) for key in keys
+                ]
+    finally:
+        if modulus is not None:
+            # Coarse points must not leak into later rings.
+            _shard_points.cache_clear()
 
 
 # -- hot keys ------------------------------------------------------------------
